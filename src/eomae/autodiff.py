@@ -3,7 +3,11 @@
 A small tape-based engine in the micrograd style: every operation returns a
 new :class:`Tensor` holding the forward value and a closure that propagates
 gradients to its inputs. ``backward()`` topologically sorts the graph and
-visits each node exactly once, in reverse.
+visits each node exactly once, in reverse. It consumes the graph: once a
+node's closure has run, the node drops its closure, its parents and its
+gradient, so activations are freed during the pass and no reference cycle
+outlives it. Leaf tensors keep their ``.grad``. To differentiate again,
+build a new graph.
 
 Matrix-multiply work is tracked in a module-level MAC counter so tests can
 compare an instrumented forward pass against analytic cost formulas.
@@ -59,7 +63,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """Array node in the autodiff graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64) if not isinstance(data, np.ndarray) else data
@@ -105,9 +109,15 @@ class Tensor:
                 if id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 node._backward()
+                # Consume the interior node: breaks the out -> closure -> out
+                # cycle and frees its gradient and activations now.
+                node._backward = None
+                node._prev = ()
+                node.grad = None
 
     def zero_grad(self) -> None:
         self.grad = None

@@ -111,23 +111,36 @@ def save_checkpoint(path: str | Path, params: dict[str, Tensor | np.ndarray]) ->
             f.write(data.tobytes())
 
 
+class CheckpointError(ValueError):
+    """A checkpoint file that is not a complete, well-formed MSTR record set."""
+
+
+def _read(f, n: int, what: str) -> bytes:
+    raw = f.read(n)
+    if len(raw) != n:
+        raise CheckpointError(f"truncated checkpoint: short {what} "
+                              f"({len(raw)} of {n} bytes)")
+    return raw
+
+
 def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"bad checkpoint magic {magic!r}")
-        version, count = struct.unpack("<HI", f.read(6))
+            raise CheckpointError(f"bad checkpoint magic {magic!r}")
+        version, count = struct.unpack("<HI", _read(f, 6, "header"))
         if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
+            raise CheckpointError(f"unsupported checkpoint version {version}")
         out: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (nlen,) = struct.unpack("<H", f.read(2))
-            name = f.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<B", f.read(1))
-            shape = tuple(struct.unpack("<I", f.read(4))[0] for _ in range(ndim))
+            (nlen,) = struct.unpack("<H", _read(f, 2, "name length"))
+            try:
+                name = _read(f, nlen, "name").decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise CheckpointError(f"undecodable checkpoint name: {e}") from None
+            (ndim,) = struct.unpack("<B", _read(f, 1, f"{name} ndim"))
+            shape = struct.unpack(f"<{ndim}I", _read(f, 4 * ndim, f"{name} dims"))
             n = int(np.prod(shape)) if shape else 1
-            payload = f.read(4 * n)
-            if len(payload) != 4 * n:
-                raise ValueError("truncated checkpoint")
+            payload = _read(f, 4 * n, f"{name} payload")
             out[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float64)
         return out

@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from . import specs
+from .backbone import CheckpointError
 from .costs import cost_for_phase
 from .encodings import spatial_table, table_digest
 from .masking import empirical_axis_stats, layout_from
@@ -218,6 +219,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except CheckpointError as e:
+        print(f"i/o error: {e}", file=sys.stderr)
+        return 2
     except (ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

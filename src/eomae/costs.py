@@ -96,6 +96,8 @@ def transfer_cost(dataset: DatasetSpec, fusion: FusionConfig, dims: ModelDims,
 
     Full-length sequences, no masking or decoder; includes the patchify term
     plus the attentive-pooling and final projection terms of the task head.
+    The classification head's attentive pool applies its value projection
+    once, to the pooled vector (``pool_value``).
     """
     mods = dataset.active_modalities()
     if not mods or all(sequence_length(m, fusion.multispectral) == 0 for m in mods):
@@ -105,20 +107,15 @@ def transfer_cost(dataset: DatasetSpec, fusion: FusionConfig, dims: ModelDims,
               for length in _sequence_lengths(dataset, fusion, dims))
     total_tokens = sum(sequence_length(m, fusion.multispectral) for m in mods)
     attn_pool = 2.0 * total_tokens * dims.encoder_width
+    report = CostReport(phase="transfer")
+    report.terms = {"encoder": enc, "attn_pool": attn_pool}
     if task == "classification":
-        proj = float(dims.encoder_width * dataset.num_classes)
-        proj_name = "proj_cls"
+        report.terms["pool_value"] = float(dims.encoder_width ** 2)
+        report.terms["proj_cls"] = float(dims.encoder_width * dataset.num_classes)
     else:
         l_ref = dataset.reference_grid_side() ** 2
-        proj = float(l_ref * dims.encoder_width * dataset.num_classes)
-        proj_name = "proj_seg"
-    report = CostReport(phase="transfer")
-    report.terms = {
-        "encoder": enc,
-        "attn_pool": attn_pool,
-        proj_name: proj,
-        "patchify": float(_pixels_channels(dataset) * dims.encoder_width),
-    }
+        report.terms["proj_seg"] = float(l_ref * dims.encoder_width * dataset.num_classes)
+    report.terms["patchify"] = float(_pixels_channels(dataset) * dims.encoder_width)
     return report
 
 

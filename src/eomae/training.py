@@ -57,8 +57,11 @@ def ema_alpha(n_epochs: int) -> float:
 
 
 def ema_update(ema: dict[str, np.ndarray], params: dict[str, Tensor], alpha: float) -> None:
+    """``ema = alpha * ema + (1 - alpha) * param``, in place."""
     for name, p in params.items():
-        ema[name] = alpha * ema[name] + (1.0 - alpha) * p.data
+        e = ema[name]
+        e *= alpha
+        e += (1.0 - alpha) * p.data
 
 
 @dataclass
@@ -70,28 +73,79 @@ class AdamWConfig:
     weight_decay: float = 1e-2
 
 
+# Elements per in-place update slice: two float64 scratch buffers of this
+# size stay in cache.
+_CHUNK = 1 << 14
+
+
+def _flat_view(a: np.ndarray, name: str) -> np.ndarray:
+    """``a`` as a 1-D view; a copy would silently lose the in-place update."""
+    if not a.flags.c_contiguous:
+        raise ValueError(f"AdamW: tensor {name} is not C-contiguous")
+    return a.reshape(-1)
+
+
 class AdamW:
-    """Decoupled weight decay; standard bias-corrected moment updates."""
+    """Decoupled weight decay; standard bias-corrected moment updates.
+
+    As in ``torch.optim.AdamW``, a tensor whose ``grad`` is None is skipped:
+    no weight decay and no moment update. Its moments are allocated on its
+    first gradient, and its bias correction counts its own updates.
+    """
 
     def __init__(self, params: dict[str, Tensor], config: AdamWConfig | None = None):
         self.params = dict(sorted(params.items()))
         self.config = config or AdamWConfig()
         self.step_count = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        # name -> [first moment, second moment, updates so far]
+        self.state: dict[str, list] = {}
+        self._scratch = np.empty((2, _CHUNK))
 
     def step(self, lr: float | None = None) -> None:
         cfg = self.config
         lr = cfg.lr if lr is None else lr
         self.step_count += 1
-        b1c = 1.0 - cfg.beta1 ** self.step_count
-        b2c = 1.0 - cfg.beta2 ** self.step_count
+        decay = 1.0 - lr * cfg.weight_decay
         for k, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[k] = cfg.beta1 * self.m[k] + (1 - cfg.beta1) * g
-            self.v[k] = cfg.beta2 * self.v[k] + (1 - cfg.beta2) * g * g
-            p.data *= 1.0 - lr * cfg.weight_decay
-            p.data -= lr * (self.m[k] / b1c) / (np.sqrt(self.v[k] / b2c) + cfg.eps)
+            if p.grad is None:
+                continue
+            state = self.state.get(k)
+            if state is None:
+                state = self.state[k] = [np.zeros_like(p.data), np.zeros_like(p.data), 0]
+            state[2] += 1
+            b1c = 1.0 - cfg.beta1 ** state[2]
+            b2c = 1.0 - cfg.beta2 ** state[2]
+            w = _flat_view(p.data, k)
+            m = _flat_view(state[0], k)
+            v = _flat_view(state[1], k)
+            g = p.grad.reshape(-1)
+            for lo in range(0, w.size, _CHUNK):
+                hi = min(lo + _CHUNK, w.size)
+                self._update(w[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi],
+                             lr, decay, b1c, b2c)
+
+    def _update(self, w, g, m, v, lr, decay, b1c, b2c) -> None:
+        """One slice of the update, in place and in the operation order of
+        m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;  w *= decay;
+        w -= lr * (m/b1c) / (sqrt(v/b2c) + eps)."""
+        cfg = self.config
+        s = self._scratch[0, : w.size]
+        t = self._scratch[1, : w.size]
+        m *= cfg.beta1
+        np.multiply(1 - cfg.beta1, g, out=s)
+        m += s
+        v *= cfg.beta2
+        np.multiply(1 - cfg.beta2, g, out=s)
+        s *= g
+        v += s
+        w *= decay
+        np.divide(m, b1c, out=s)
+        s *= lr
+        np.divide(v, b2c, out=t)
+        np.sqrt(t, out=t)
+        t += cfg.eps
+        s /= t
+        w -= s
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -44,6 +47,22 @@ class TestBasics:
         x = _leaf(np.arange(5.0))
         x[np.array([0, 0, 2])].sum().backward()
         assert np.array_equal(x.grad, [2, 0, 1, 0, 0])
+
+    def test_backward_consumes_graph(self):
+        x = _leaf(np.arange(4.0))
+        gc.disable()
+        try:
+            mid = x * 2
+            out = (mid * 3).sum()
+            ref = weakref.ref(mid)
+            del mid
+            out.backward()
+            assert out._backward is None and out._prev == () and out.grad is None
+            del out
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert np.array_equal(x.grad, np.full(4, 6.0))
 
     def test_no_grad_mode(self):
         x = _leaf(1.0)

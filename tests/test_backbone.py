@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
 from eomae import autodiff as ad
 from eomae.autodiff import Tensor, grad_check
-from eomae.backbone import (attentive_pool, block_macs, init_block_params,
-                            load_checkpoint, save_checkpoint,
+from eomae.backbone import (CheckpointError, attentive_pool, block_macs,
+                            init_block_params, load_checkpoint, save_checkpoint,
                             transformer_block)
 
 
@@ -117,6 +119,22 @@ class TestCheckpoint:
         data = path.read_bytes()
         path.write_bytes(data[:-10])
         with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_every_truncation_raises_checkpoint_error(self, tmp_path, rng):
+        path = tmp_path / "model.mstr"
+        save_checkpoint(path, {"b": Tensor(rng.normal(size=(2, 3))),
+                               "s": Tensor(np.array(1.5))})
+        data = path.read_bytes()
+        for n in range(len(data)):
+            path.write_bytes(data[:n])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+
+    def test_undecodable_name(self, tmp_path):
+        path = tmp_path / "model.mstr"
+        path.write_bytes(b"MSTR" + struct.pack("<HIH", 1, 1, 1) + b"\xff")
+        with pytest.raises(CheckpointError, match="name"):
             load_checkpoint(path)
 
     def test_byte_determinism(self, tmp_path, rng):

@@ -59,6 +59,21 @@ def test_missing_data_dir_is_io_error(tmp_path):
     assert code == 2
 
 
+def test_truncated_checkpoint_is_io_error(tmp_path, capsys):
+    from eomae import specs
+    from eomae.synthetic import generate, load_recipe
+    recipe = load_recipe("pretrain")
+    recipe.num_tiles = 4
+    generate(recipe, specs.load_preset("synthetic_pretrain")[0], tmp_path / "data")
+    init = tmp_path / "cut.mstr"
+    init.write_bytes(b"MSTR\x01\x00\x05")
+    code = main(["probe", "--preset", "synthetic_pretrain", "--data", str(tmp_path / "data"),
+                 "--out", str(tmp_path / "o"), "--init", str(init)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: truncated checkpoint") and err.count("\n") == 1
+
+
 def test_audit_mask_csv(tmp_path):
     out = tmp_path / "audit.csv"
     code = main(["audit-mask", "--preset", "treesatai_ts", "--plans", "20",

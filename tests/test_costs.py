@@ -102,3 +102,25 @@ def test_instrumentation_agreement_tiny_dims():
                          [s.start:s.start + s.length]).sum()) for s in seq.slabs)
         expect += block_macs(n_vis, di.encoder_width) * di.encoder_depth
     assert ad.macs() == expect
+
+
+def test_transfer_cost_matches_counted_task_logits(tmp_path):
+    """One counted classification forward equals ``total_macs`` exactly."""
+    from eomae import autodiff as ad
+    from eomae.heads import build_head_params
+    from eomae.pipeline import TileCache, assemble_tile, build_tables, task_logits
+    from eomae.router import build_parameters, build_routing
+    from eomae.synthetic import generate, load_recipe
+    ds, fu, di = specs.load_preset("synthetic_temporal")
+    recipe = load_recipe("temporal")
+    recipe.num_tiles = 2
+    manifest = generate(recipe, ds, tmp_path / "data")
+    params = build_parameters(ds, fu, di, seed=0)
+    params.update(build_head_params(ds.num_classes, di.encoder_width, 0))
+    plan = build_routing(ds, fu, di)
+    batch = assemble_tile(TileCache(manifest), manifest.split_ids("train")[0], ds, fu,
+                          build_tables(ds, di), train=False, seed=0, epoch=0)
+    ad.reset_macs()
+    with ad.no_grad():
+        task_logits(batch, ds, fu, di, plan, params, params)
+    assert ad.macs() == transfer_cost(ds, fu, di).total_macs

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from eomae.autodiff import Tensor
-from eomae.training import (AdamW, AdamWConfig, RunConfig, backbone_checksum,
-                            compute_metrics, ema_alpha, ema_update, mean_iou,
+from eomae.training import (_CHUNK, AdamW, AdamWConfig, RunConfig,
+                            backbone_checksum, compute_metrics, ema_alpha, ema_update, mean_iou,
                             one_cycle_lr, run_phase, weighted_f1)
 
 
@@ -66,6 +66,14 @@ class TestEMA:
         ema_update(ema, p, 0.0)
         assert np.array_equal(ema["w"], p["w"].data)
 
+    def test_updates_arrays_in_place(self, rng):
+        p = {"w": Tensor(rng.normal(size=(4, 5)))}
+        arr = rng.normal(size=(4, 5))
+        expect = 0.7 * arr + (1.0 - 0.7) * p["w"].data
+        ema = {"w": arr}
+        ema_update(ema, p, 0.7)
+        assert ema["w"] is arr and np.array_equal(arr, expect)
+
 
 def _leaf(arr):
     t = Tensor(np.asarray(arr, dtype=float))
@@ -73,7 +81,56 @@ def _leaf(arr):
     return t
 
 
+def _adamw_reference(w, grads, lrs, cfg):
+    """The closed-form AdamW update, out of place, one tensor."""
+    m = np.zeros_like(w)
+    v = np.zeros_like(w)
+    for t, (g, lr) in enumerate(zip(grads, lrs), start=1):
+        b1c = 1.0 - cfg.beta1 ** t
+        b2c = 1.0 - cfg.beta2 ** t
+        m = cfg.beta1 * m + (1 - cfg.beta1) * g
+        v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
+        w = w * (1.0 - lr * cfg.weight_decay)
+        w = w - lr * (m / b1c) / (np.sqrt(v / b2c) + cfg.eps)
+    return w
+
+
 class TestAdamW:
+    @pytest.mark.parametrize("size", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
+    def test_bit_equal_to_closed_form(self, size, rng):
+        cfg = AdamWConfig(lr=0.1, weight_decay=0.05)
+        start = rng.normal(size=size)
+        grads = [rng.normal(size=size) for _ in range(4)]
+        lrs = [0.1, 0.03, 0.2, 0.01]
+        p = _leaf(start.copy())
+        opt = AdamW({"p": p}, cfg)
+        for g, lr in zip(grads, lrs):
+            p.grad = g
+            opt.step(lr)
+        assert np.array_equal(p.data, _adamw_reference(start, grads, lrs, cfg))
+
+    def test_tensor_without_grad_is_skipped(self):
+        cfg = AdamWConfig(lr=0.1, weight_decay=0.5)
+        a = _leaf(np.array([1.0, 2.0]))
+        b = _leaf(np.array([3.0]))
+        opt = AdamW({"a": a, "b": b}, cfg)
+        a.grad = np.ones(2)
+        opt.step()
+        assert np.array_equal(b.data, [3.0])
+        assert "b" not in opt.state and "a" in opt.state
+        a.zero_grad()
+        b.grad = np.full(1, 0.5)
+        opt.step()
+        assert np.array_equal(b.data, _adamw_reference(np.array([3.0]), [b.grad], [0.1], cfg))
+        assert "b" in opt.state and opt.state["a"][2] == 1
+
+    def test_non_contiguous_tensor_refused(self):
+        p = _leaf(np.zeros((3, 4)))
+        p.data = p.data.T
+        p.grad = np.ones((4, 3))
+        with pytest.raises(ValueError, match="contiguous"):
+            AdamW({"p": p}).step()
+
     def test_zero_grad_zero_decay_unchanged(self):
         p = _leaf(np.array([1.0, -2.0]))
         opt = AdamW({"p": p}, AdamWConfig(lr=0.1, weight_decay=0.0))
