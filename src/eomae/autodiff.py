@@ -451,16 +451,38 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(t: Tensor) -> Tensor:
-    """GELU, tanh approximation."""
+    """GELU, tanh approximation: 0.5*x*(1 + tanh(C*x*(1 + 0.044715*x^2))).
+
+    ``x**3`` would call libm ``pow`` per element; ``x*x`` is computed once
+    and kept, with ``th``, for the backward.
+    """
     x = t.data
-    u = _GELU_C * (x + 0.044715 * x ** 3)
-    th = np.tanh(u)
-    out_data = 0.5 * x * (1.0 + th)
+    x2 = x * x
+    u = x2 * 0.044715
+    u += 1.0
+    u *= x
+    u *= _GELU_C
+    th = np.tanh(u, out=u)
+    out_data = th + 1.0
+    out_data *= x
+    out_data *= 0.5
 
     def bwd():
         if t.requires_grad:
-            du = _GELU_C * (1.0 + 3 * 0.044715 * x * x)
-            t._accumulate(out.grad * (0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * du))
+            # 0.5*(1 + th) + 0.5*x*(1 - th^2) * C*(1 + 3*0.044715*x^2)
+            du = x2 * (3 * 0.044715)
+            du += 1.0
+            du *= _GELU_C
+            g = th * th
+            np.subtract(1.0, g, out=g)
+            g *= x
+            g *= 0.5
+            g *= du
+            np.add(th, 1.0, out=du)
+            du *= 0.5
+            g += du
+            g *= out.grad
+            t._accumulate(g)
 
     out = Tensor._make(out_data, (t,), bwd)
     return out

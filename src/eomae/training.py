@@ -96,33 +96,33 @@ class AdamW:
     def __init__(self, params: dict[str, Tensor], config: AdamWConfig | None = None):
         self.params = dict(sorted(params.items()))
         self.config = config or AdamWConfig()
-        self.step_count = 0
-        # name -> [first moment, second moment, updates so far]
-        self.state: dict[str, list] = {}
+        # Per tensor, from its first gradient on: moments and update count.
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
+        self.updates: dict[str, int] = {}
         self._scratch = np.empty((2, _CHUNK))
 
     def step(self, lr: float | None = None) -> None:
         cfg = self.config
         lr = cfg.lr if lr is None else lr
-        self.step_count += 1
         decay = 1.0 - lr * cfg.weight_decay
         for k, p in self.params.items():
             if p.grad is None:
                 continue
-            state = self.state.get(k)
-            if state is None:
-                state = self.state[k] = [np.zeros_like(p.data), np.zeros_like(p.data), 0]
-            state[2] += 1
-            b1c = 1.0 - cfg.beta1 ** state[2]
-            b2c = 1.0 - cfg.beta2 ** state[2]
+            if k not in self.m:
+                self.m[k] = np.zeros_like(p.data)
+                self.v[k] = np.zeros_like(p.data)
+                self.updates[k] = 0
+            self.updates[k] += 1
+            b1c = 1.0 - cfg.beta1 ** self.updates[k]
+            b2c = 1.0 - cfg.beta2 ** self.updates[k]
             w = _flat_view(p.data, k)
-            m = _flat_view(state[0], k)
-            v = _flat_view(state[1], k)
+            m = _flat_view(self.m[k], k)
+            v = _flat_view(self.v[k], k)
             g = p.grad.reshape(-1)
             for lo in range(0, w.size, _CHUNK):
-                hi = min(lo + _CHUNK, w.size)
-                self._update(w[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi],
-                             lr, decay, b1c, b2c)
+                at = slice(lo, lo + _CHUNK)
+                self._update(w[at], g[at], m[at], v[at], lr, decay, b1c, b2c)
 
     def _update(self, w, g, m, v, lr, decay, b1c, b2c) -> None:
         """One slice of the update, in place and in the operation order of
@@ -189,8 +189,9 @@ def compute_metrics(predictions, labels, task: str, ignored: list[int] | None = 
                     num_classes: int | None = None) -> dict[str, float]:
     """Weighted F1 (classification, threshold 0.5 on sigmoid) or mIoU.
 
-    Classification also reports argmax accuracy, which is the headline number
-    for single-label synthetic tasks.
+    Classification also reports accuracy: the share of tiles whose top
+    logit is one of their present classes. It is the headline number for
+    single-label synthetic tasks.
     """
     ignored = ignored or []
     if task == "classification":
@@ -198,7 +199,7 @@ def compute_metrics(predictions, labels, task: str, ignored: list[int] | None = 
         y_true = np.asarray(labels, dtype=bool)             # [N, K] multi-hot
         probs = 1.0 / (1.0 + np.exp(-logits))
         y_pred = probs >= 0.5
-        correct = (np.argmax(logits, axis=1) == np.argmax(y_true, axis=1)) & (y_true.sum(axis=1) > 0)
+        correct = y_true[np.arange(len(y_true)), np.argmax(logits, axis=1)]
         return {
             "weighted_f1": weighted_f1(y_true, y_pred),
             "accuracy": float(correct.mean()) if len(correct) else 0.0,

@@ -132,6 +132,17 @@ class TestFusedOps:
         report = grad_check(f, {"x": x}, max_coords_per_tensor=12)
         assert report["passed"], (op, report)
 
+    def test_gelu_matches_pow_formula(self, rng):
+        x = _leaf(rng.normal(size=(40, 50)) * 3)
+        ad.gelu(x).sum().backward()
+        c = np.sqrt(2.0 / np.pi)
+        xd = x.data
+        th = np.tanh(c * (xd + 0.044715 * xd ** 3))
+        value = 0.5 * xd * (1.0 + th)
+        grad = 0.5 * (1.0 + th) + 0.5 * xd * (1.0 - th * th) * c * (1.0 + 3 * 0.044715 * xd * xd)
+        np.testing.assert_allclose(ad.gelu(x).data, value, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(x.grad, grad, rtol=1e-12, atol=0)
+
     def test_layer_norm_param_grads(self, rng):
         x = _leaf(rng.normal(size=(4, 8)))
         g = _leaf(rng.normal(size=8))

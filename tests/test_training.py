@@ -8,8 +8,9 @@ import pytest
 
 from eomae.autodiff import Tensor
 from eomae.training import (_CHUNK, AdamW, AdamWConfig, RunConfig,
-                            backbone_checksum, compute_metrics, ema_alpha, ema_update, mean_iou,
-                            one_cycle_lr, run_phase, weighted_f1)
+                            backbone_checksum, compute_metrics, ema_alpha,
+                            ema_update, mean_iou, one_cycle_lr, run_phase,
+                            weighted_f1)
 
 
 class TestSchedule:
@@ -117,12 +118,12 @@ class TestAdamW:
         a.grad = np.ones(2)
         opt.step()
         assert np.array_equal(b.data, [3.0])
-        assert "b" not in opt.state and "a" in opt.state
+        assert "b" not in opt.m and "b" not in opt.v and "a" in opt.m
         a.zero_grad()
         b.grad = np.full(1, 0.5)
         opt.step()
         assert np.array_equal(b.data, _adamw_reference(np.array([3.0]), [b.grad], [0.1], cfg))
-        assert "b" in opt.state and opt.state["a"][2] == 1
+        assert opt.updates == {"a": 1, "b": 1}
 
     def test_non_contiguous_tensor_refused(self):
         p = _leaf(np.zeros((3, 4)))
@@ -163,6 +164,14 @@ class TestMetrics:
         labels = np.array([[1, 0], [0, 1]])
         m = compute_metrics(logits, labels, "classification")
         assert m["weighted_f1"] == 1.0 and m["accuracy"] == 1.0
+
+    def test_accuracy_counts_any_present_class(self):
+        logits = np.array([[0.0, 5.0, 1.0], [3.0, 0.0, 1.0], [0.0, 1.0, 4.0]])
+        labels = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 0]])
+        m = compute_metrics(logits, labels, "classification")
+        # row 0: top class 1 is present; row 1: top class 0 is absent;
+        # row 2 has no class at all
+        assert m["accuracy"] == 1 / 3
 
     def test_weighted_f1_oracle(self):
         # two classes with different supports; verify against hand computation
