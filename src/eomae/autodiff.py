@@ -351,16 +351,6 @@ class Tensor:
         out = Tensor._make(out_data, (self,), bwd)
         return out
 
-    def log(self):
-        out_data = np.log(self.data)
-
-        def bwd():
-            if self.requires_grad:
-                self._accumulate(out.grad / self.data)
-
-        out = Tensor._make(out_data, (self,), bwd)
-        return out
-
     def tanh(self):
         out_data = np.tanh(self.data)
 

@@ -76,10 +76,7 @@ def _cmd_phase(args, phase: str) -> int:
 
 def _cmd_cost(args) -> int:
     dataset, fusion, dims = specs.load_preset(args.preset)
-    if args.fusion:
-        fusion.mode = args.fusion
-    if args.multispectral:
-        fusion.multispectral = args.multispectral
+    fusion = specs.override_fusion(fusion, args.fusion, args.multispectral)
     specs.validate(dataset, fusion, dims).raise_if_failed()
     report = cost_for_phase(dataset, fusion, dims, args.phase)
     if args.format == "json":
@@ -124,10 +121,7 @@ def _cmd_audit_mask(args) -> int:
 
 def _cmd_inspect(args) -> int:
     dataset, fusion, dims = specs.load_preset(args.preset)
-    if args.fusion:
-        fusion.mode = args.fusion
-    if args.multispectral:
-        fusion.multispectral = args.multispectral
+    fusion = specs.override_fusion(fusion, args.fusion, args.multispectral)
     specs.validate(dataset, fusion, dims).raise_if_failed()
     if args.what == "routing":
         plan = build_routing(dataset, fusion, dims)

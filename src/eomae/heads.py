@@ -15,7 +15,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .backbone import attentive_pool
-from .specs import DatasetSpec, ModelDims
 
 
 def build_head_params(num_classes: int, enc_width: int, seed: int,

@@ -63,9 +63,6 @@ class MaskPlan:
     def mask_for(self, name: str) -> np.ndarray:
         return self.masks[name]
 
-    def visible_for(self, name: str) -> np.ndarray:
-        return ~self.masks[name]
-
     def concat_mask(self, order: list[str]) -> np.ndarray:
         return np.concatenate([self.masks[n] for n in order])
 

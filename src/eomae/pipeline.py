@@ -16,11 +16,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encodings import (TEMPORAL_DIMS, encoding_block, reference_date,
-                        spatial_table, temporal_features)
+from .encodings import (encoding_block, reference_date, spatial_table,
+                        temporal_features)
 from .heads import (align_to_reference, classification_head, segmentation_head,
                     upsample_logits)
-from .masking import MaskPlan, TokenLayout, layout_from, sample_mask_plan
+from .masking import MaskPlan, TokenLayout, layout_from
 from .router import RoutingPlan, decode_with_masks, encode_visible
 from .specs import DatasetSpec, FusionConfig, ModelDims
 from .targets import ReconstructionItem, normalize_targets, reconstruction_loss
@@ -140,13 +140,18 @@ def assemble_tile(cache: TileCache, tile_id: int, dataset: DatasetSpec,
     return batch
 
 
+def tokenizer_weights(params: dict[str, Tensor], modality: str) -> dict[str, Tensor]:
+    """One modality's tokenizer tensors, keyed by their last name component."""
+    prefix = f"tok/{modality}/"
+    return {k.split("/")[-1]: v for k, v in params.items() if k.startswith(prefix)}
+
+
 def embed_tokens(batch: TileBatch, dataset: DatasetSpec, fusion: FusionConfig,
                  params: dict[str, Tensor]) -> dict[str, Tensor]:
     """Tokenize every modality and add the encoder-width encodings."""
     out = {}
     for m in dataset.active_modalities():
-        weights = {k.split("/")[-1]: v for k, v in params.items()
-                   if k.startswith(f"tok/{m.name}/")}
+        weights = tokenizer_weights(params, m.name)
         t = embed(batch.grids[m.name], m, fusion.multispectral, weights)
         out[m.name] = t + Tensor(batch.token_encodings[m.name])
     return out
@@ -162,10 +167,8 @@ def pretrain_loss(batch: TileBatch, dataset: DatasetSpec, fusion: FusionConfig,
                                 batch.decoder_encodings)
     items = []
     for m in dataset.active_modalities():
-        weights = {k.split("/")[-1]: v for k, v in params.items()
-                   if k.startswith(f"tok/{m.name}/")}
-        recon = project_out(decoded[m.name], m, fusion.multispectral, weights,
-                            bins=m.temporal_bins)
+        recon = project_out(decoded[m.name], m, fusion.multispectral,
+                            tokenizer_weights(params, m.name), bins=m.temporal_bins)
         norm = normalize_targets(batch.grids[m.name], m, fusion.target_norm,
                                  fusion.multispectral)
         items.append(ReconstructionItem(

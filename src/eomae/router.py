@@ -19,7 +19,7 @@ the dense encoder-to-decoder projection; mask tokens are per modality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,15 +1,21 @@
 """Dataset, modality, fusion, and model-dimension descriptions.
 
-Single source of truth for token accounting. Configurations are plain data,
-loaded from JSON files that mirror the dataclasses field for field; shipped
-presets live in ``eomae/presets``.
+Single source of truth for token accounting. Configurations are plain data:
+presets, generator recipes and dataset manifests are JSON files that mirror
+the dataclasses field for field, and one loader (``from_dict``) reads them
+all. An unknown key, a missing required field or a non-object value is a
+``ValueError`` that names its dotted path. Shipped presets and recipes live
+in ``eomae/presets``; ``override_fusion`` applies command-line fusion
+overrides.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field, asdict
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -286,76 +292,68 @@ def lcm_token_grid(specs: list[ModalitySpec]) -> int:
 
 # -- JSON (de)serialization ----------------------------------------------------
 
-def _modality_from_dict(d: dict) -> ModalitySpec:
-    cm = d.get("cloud_mask", {})
-    return ModalitySpec(
-        name=d["name"],
-        gsd_m=d["gsd_m"],
-        image_size=d["image_size"],
-        patch_size=d["patch_size"],
-        temporal_bins=d["temporal_bins"],
-        channels=d["channels"],
-        band_groups=[list(g) for g in d["band_groups"]],
-        norm_factor=d.get("norm_factor", 1.0),
-        cloud_mask=CloudMaskSpec(bool(cm.get("enabled", False)), float(cm.get("threshold", 0.0))),
-    )
+@functools.cache
+def _field_types(cls: type) -> dict[str, tuple[type | None, bool, bool]]:
+    """Field name -> (nested dataclass or None, is a list of it, required),
+    resolved once per dataclass ``cls``."""
+    out = {}
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        tp = hints[f.name]
+        many = typing.get_origin(tp) is list
+        item = typing.get_args(tp)[0] if many else tp
+        out[f.name] = (item if is_dataclass(item) else None, many,
+                       f.default is MISSING and f.default_factory is MISSING)
+    return out
 
 
-def dataset_from_dict(d: dict) -> DatasetSpec:
-    return DatasetSpec(
-        name=d["name"],
-        tile_extent_m=d["tile_extent_m"],
-        crop_extent_m=d["crop_extent_m"],
-        modalities=[_modality_from_dict(m) for m in d["modalities"]],
-        modality_groups=[list(g) for g in d["modality_groups"]],
-        task=d.get("task", "classification"),
-        num_classes=d.get("num_classes", 2),
-        ignored_class_ids=list(d.get("ignored_class_ids", [])),
-        reference_grid_resolution_m=d.get("reference_grid_resolution_m"),
-    )
+def from_dict(cls: type, d: object, path: str):
+    """Build dataclass ``cls`` from parsed JSON ``d``, field for field.
+
+    Dataclass fields, and lists of dataclasses, load recursively; a missing
+    field takes its default. A missing required field, an unknown key or a
+    non-object value raises ``ValueError`` naming the dotted ``path``.
+    """
+    where = path or "top level"
+    if not isinstance(d, dict):
+        raise ValueError(f"{where}: expected an object, got {type(d).__name__}")
+    types = _field_types(cls)
+    unknown = d.keys() - types.keys()
+    if unknown:
+        raise ValueError(f"{where}: unknown field(s) {sorted(unknown)}")
+    kwargs = {}
+    for name, (sub, many, required) in types.items():
+        if name not in d:
+            if required:
+                raise ValueError(f"{where}: missing required field {name!r}")
+            continue
+        v = d[name]
+        if sub is not None:
+            at = f"{path}.{name}" if path else name
+            if not many:
+                v = from_dict(sub, v, at)
+            elif isinstance(v, list):
+                v = [from_dict(sub, x, f"{at}[{i}]") for i, x in enumerate(v)]
+            else:
+                raise ValueError(f"{at}: expected a list, got {type(v).__name__}")
+        kwargs[name] = v
+    return cls(**kwargs)
 
 
-def fusion_from_dict(d: dict) -> FusionConfig:
-    probs = d.get("structured_probs", {})
-    return FusionConfig(
-        mode=d.get("mode", "group"),
-        multispectral=d.get("multispectral", "joint-token"),
-        target_norm=d.get("target_norm", "patch-group"),
-        mask_ratio=d.get("mask_ratio", 0.75),
-        structured_probs=StructuredProbs(
-            modality=probs.get("modality", 0.25),
-            spatial=probs.get("spatial", 0.25),
-            temporal=probs.get("temporal", 0.25),
-        ),
-    )
-
-
-def dims_from_dict(d: dict) -> ModelDims:
-    return ModelDims(
-        encoder_width=d.get("encoder_width", 768),
-        encoder_depth=d.get("encoder_depth", 12),
-        decoder_width=d.get("decoder_width", 512),
-        decoder_depth=d.get("decoder_depth", 3),
-        heads=d.get("heads", 12),
-        fusion_blocks=d.get("fusion_blocks", 3),
-    )
+@dataclass
+class _Config:
+    dataset: DatasetSpec
+    fusion: FusionConfig = field(default_factory=FusionConfig)
+    dims: ModelDims = field(default_factory=ModelDims)
 
 
 def config_from_dict(d: dict) -> tuple[DatasetSpec, FusionConfig, ModelDims]:
-    return (
-        dataset_from_dict(d["dataset"]),
-        fusion_from_dict(d.get("fusion", {})),
-        dims_from_dict(d.get("dims", {})),
-    )
+    c = from_dict(_Config, d, "")
+    return c.dataset, c.fusion, c.dims
 
 
 def config_to_dict(dataset: DatasetSpec, fusion: FusionConfig, dims: ModelDims) -> dict:
-    return {"dataset": asdict(dataset), "fusion": asdict(fusion), "dims": asdict(dims)}
-
-
-def load_config(path: str | Path) -> tuple[DatasetSpec, FusionConfig, ModelDims]:
-    with open(path, encoding="utf-8") as f:
-        return config_from_dict(json.load(f))
+    return asdict(_Config(dataset, fusion, dims))
 
 
 def preset_names() -> list[str]:
@@ -364,12 +362,30 @@ def preset_names() -> list[str]:
                   if p.name.endswith(".json") and not p.name.startswith("recipe_"))
 
 
+def read_config_json(name: str, stems: list[str]) -> object | None:
+    """Parsed JSON of ``name`` if it is an existing ``.json`` path, else of
+    the first shipped ``presets/<stem>.json``; None if there is neither."""
+    path = Path(name)
+    if path.suffix != ".json" or not path.exists():
+        root = resources.files("eomae") / "presets"
+        path = next((r for r in (root / f"{s}.json" for s in stems) if r.is_file()), None)
+        if path is None:
+            return None
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 def load_preset(name: str) -> tuple[DatasetSpec, FusionConfig, ModelDims]:
     """Load a shipped preset by name, or any config by path."""
-    path = Path(name)
-    if path.suffix == ".json" and path.exists():
-        return load_config(path)
-    res = resources.files("eomae") / "presets" / f"{name}.json"
-    if not res.is_file():
+    d = read_config_json(name, [name])
+    if d is None:
         raise KeyError(f"unknown preset {name!r}; available: {preset_names()}")
-    return config_from_dict(json.loads(res.read_text(encoding="utf-8")))
+    return config_from_dict(d)
+
+
+def override_fusion(fusion: FusionConfig, mode: str | None = None,
+                    multispectral: str | None = None, target_norm: str | None = None,
+                    mask_ratio: float | None = None) -> FusionConfig:
+    """A copy of ``fusion`` with every argument that is not None replaced."""
+    changes = {"mode": mode, "multispectral": multispectral,
+               "target_norm": target_norm, "mask_ratio": mask_ratio}
+    return replace(fusion, **{k: v for k, v in changes.items() if v is not None})

@@ -19,14 +19,12 @@ stream keyed by (seed, tile_id).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .specs import DatasetSpec
+from .specs import DatasetSpec, from_dict, read_config_json
 from .temporal import TimeRecord
 from .tiles import Manifest, TileEntry, write_tensor, write_tile_modality
 
@@ -90,20 +88,12 @@ class SyntheticRecipe:
             raise ValueError("class signatures are indistinguishable")
 
 
-def recipe_from_dict(d: dict) -> SyntheticRecipe:
-    return SyntheticRecipe(**d)
-
-
 def load_recipe(name: str) -> SyntheticRecipe:
-    path = Path(name)
-    if path.suffix == ".json" and path.exists():
-        return recipe_from_dict(json.loads(path.read_text(encoding="utf-8")))
-    res = resources.files("eomae") / "presets" / f"recipe_{name}.json"
-    if not res.is_file():
-        res = resources.files("eomae") / "presets" / f"{name}.json"
-    if not res.is_file():
+    """Load a shipped recipe by name (``recipe_<name>`` or ``<name>``), or any recipe by path."""
+    d = read_config_json(name, [f"recipe_{name}", name])
+    if d is None:
         raise KeyError(f"unknown recipe {name!r}")
-    return recipe_from_dict(json.loads(res.read_text(encoding="utf-8")))
+    return from_dict(SyntheticRecipe, d, "recipe")
 
 
 def _latent_map(recipe: SyntheticRecipe, side: int, tile_id: int,

@@ -25,9 +25,6 @@ class TimeRecord:
     hour_of_day: float   # [0, 24)
     absolute_day: int    # days since an arbitrary epoch
 
-    def as_tuple(self) -> tuple[float, float, int]:
-        return (self.day_of_year, self.hour_of_day, self.absolute_day)
-
 
 @dataclass
 class RawSeries:

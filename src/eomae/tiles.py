@@ -4,19 +4,20 @@ Tensor files: magic ``MTRO``, version u16 LE, dtype code u8 (0 = float32,
 1 = uint16), ndim u8, dims u32 LE each, then the row-major little-endian
 payload. Acquisition times live in a sibling JSON list of
 ``[absolute_day, day_of_year, hour_of_day]`` triples. ``manifest.json``
-carries the dataset spec plus the tile index.
+carries the dataset spec plus the tile index, field for field; a malformed
+one raises ``TileError``.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .specs import DatasetSpec, dataset_from_dict
+from .specs import DatasetSpec, from_dict
 from .temporal import RawSeries, TimeRecord
 
 TILE_MAGIC = b"MTRO"
@@ -117,16 +118,17 @@ class Manifest:
     def save(self) -> Path:
         path = self.root / "manifest.json"
         payload = {
-            "dataset": _dataset_to_dict(self.dataset),
+            "dataset": asdict(self.dataset),
             "tiles": [t.to_dict() for t in self.tiles],
         }
         path.write_text(json.dumps(payload, indent=1, sort_keys=True), encoding="utf-8")
         return path
 
 
-def _dataset_to_dict(ds: DatasetSpec) -> dict:
-    from dataclasses import asdict
-    return asdict(ds)
+@dataclass
+class _ManifestFile:
+    dataset: DatasetSpec
+    tiles: list[TileEntry]
 
 
 def load_manifest(root: str | Path) -> Manifest:
@@ -134,18 +136,11 @@ def load_manifest(root: str | Path) -> Manifest:
     path = root / "manifest.json"
     if not path.exists():
         raise TileError(f"no manifest at {path}")
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    tiles = [
-        TileEntry(
-            tile_id=t["tile_id"],
-            split=t["split"],
-            files={k: dict(v) for k, v in t["files"].items()},
-            label_classes=t.get("label_classes"),
-            label_file=t.get("label_file"),
-        )
-        for t in payload["tiles"]
-    ]
-    return Manifest(root=root, dataset=dataset_from_dict(payload["dataset"]), tiles=tiles)
+    try:
+        loaded = from_dict(_ManifestFile, json.loads(path.read_text(encoding="utf-8")), "")
+    except ValueError as e:     # includes malformed JSON
+        raise TileError(f"{path}: {e}") from None
+    return Manifest(root=root, dataset=loaded.dataset, tiles=loaded.tiles)
 
 
 def write_tile_modality(root: Path, tile_id: int, modality: str, data: np.ndarray,

@@ -27,9 +27,10 @@ from .masking import sample_mask_plan
 from .pipeline import (TileCache, assemble_tile, build_tables, pretrain_loss,
                        task_logits)
 from .router import build_parameters, build_routing
-from .specs import (DatasetSpec, FusionConfig, ModelDims, load_preset, validate)
+from .specs import (DatasetSpec, FusionConfig, ModelDims, load_preset,
+                    override_fusion, validate)
 from .temporal import stream_rng
-from .tiles import Manifest, load_manifest
+from .tiles import load_manifest
 
 PHASES = ("pretrain", "probe", "finetune")
 
@@ -237,35 +238,14 @@ class RunConfig:
     epochs: int = 1
     batch_size: int = 16
     base_lr: float | None = None
-    final_div: float | None = None
-    warmup_fraction: float = 0.2
-    weight_decay: float = 1e-2
     fusion_mode: str | None = None
     multispectral: str | None = None
     target_norm: str | None = None
     mask_ratio: float | None = None
     init_checkpoint: str | None = None
-    masked_only: bool = True
-    max_train_tiles: int | None = None
-    max_eval_tiles: int | None = None
 
     def resolved_base_lr(self) -> float:
         return self.base_lr if self.base_lr is not None else _PHASE_BASE_LR[self.phase]
-
-    def resolved_final_div(self) -> float:
-        return self.final_div if self.final_div is not None else _PHASE_FINAL_DIV[self.phase]
-
-
-def apply_overrides(fusion: FusionConfig, cfg: RunConfig) -> FusionConfig:
-    if cfg.fusion_mode:
-        fusion.mode = cfg.fusion_mode
-    if cfg.multispectral:
-        fusion.multispectral = cfg.multispectral
-    if cfg.target_norm:
-        fusion.target_norm = cfg.target_norm
-    if cfg.mask_ratio is not None:
-        fusion.mask_ratio = cfg.mask_ratio
-    return fusion
 
 
 @dataclass
@@ -343,7 +323,8 @@ def run_phase(cfg: RunConfig) -> RunResult:
     if cfg.phase not in PHASES:
         raise ValueError(f"unknown phase {cfg.phase!r}")
     _, fusion, dims = load_preset(cfg.preset)
-    fusion = apply_overrides(fusion, cfg)
+    fusion = override_fusion(fusion, cfg.fusion_mode, cfg.multispectral,
+                             cfg.target_norm, cfg.mask_ratio)
     manifest = load_manifest(cfg.data_dir)
     dataset = manifest.dataset
     validate(dataset, fusion, dims).raise_if_failed()
@@ -377,10 +358,6 @@ def run_phase(cfg: RunConfig) -> RunResult:
     else:
         train_ids = manifest.split_ids("train")
     eval_ids = manifest.split_ids("val")
-    if cfg.max_train_tiles:
-        train_ids = train_ids[: cfg.max_train_tiles]
-    if cfg.max_eval_tiles:
-        eval_ids = eval_ids[: cfg.max_eval_tiles]
     if not train_ids:
         raise ValueError("no training tiles in manifest")
 
@@ -389,9 +366,9 @@ def run_phase(cfg: RunConfig) -> RunResult:
     steps_per_epoch = math.ceil(len(work_items) / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
     peak = cfg.resolved_base_lr() * math.sqrt(cfg.batch_size)
-    final_div = cfg.resolved_final_div()
+    final_div = _PHASE_FINAL_DIV[cfg.phase]
 
-    optimizer = AdamW(trainable, AdamWConfig(lr=peak, weight_decay=cfg.weight_decay))
+    optimizer = AdamW(trainable, AdamWConfig(lr=peak))
     ema = None
     alpha = 0.0
     if cfg.phase == "finetune":
@@ -418,8 +395,7 @@ def run_phase(cfg: RunConfig) -> RunResult:
                         mask_rng = stream_rng(cfg.seed, epoch, tid, f"mask/{rep}")
                         mask_plan = sample_mask_plan(batch.layout, fusion, mask_rng)
                         loss = pretrain_loss(batch, dataset, fusion, dims, plan,
-                                             params, mask_plan,
-                                             masked_only=cfg.masked_only)
+                                             params, mask_plan)
                     else:
                         logits = task_logits(batch, dataset, fusion, dims, plan,
                                              params, params)
@@ -435,7 +411,7 @@ def run_phase(cfg: RunConfig) -> RunResult:
                     scaled = loss * (1.0 / len(chunk))
                     scaled.backward()
                     batch_losses.append(float(loss.data))
-                lr = one_cycle_lr(step, total_steps, peak, cfg.warmup_fraction, final_div)
+                lr = one_cycle_lr(step, total_steps, peak, final_div=final_div)
                 optimizer.step(lr)
                 step += 1
                 losses.append(float(np.mean(batch_losses)))

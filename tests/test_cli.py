@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from importlib import resources
 
 import pytest
 
@@ -33,6 +34,52 @@ def test_unknown_flag_exits_1(capsys):
 
 def test_unknown_preset_exits_1(capsys):
     assert main(["cost", "--preset", "not_a_preset"]) == 1
+
+
+def _one_line(err: str, prefix: str) -> str:
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    return err
+
+
+def test_cost_preset_with_unknown_field_exits_1(tmp_path, capsys):
+    d = json.loads((resources.files("eomae") / "presets" / "treesatai_ts.json").read_text())
+    d["fusion"]["mask_ratoi"] = 0.5
+    typo = tmp_path / "typo.json"
+    typo.write_text(json.dumps(d))
+    assert main(["cost", "--preset", str(typo)]) == 1
+    err = _one_line(capsys.readouterr().err, "error: ")
+    assert "fusion: unknown field(s) ['mask_ratoi']" in err
+
+
+def test_gen_data_recipe_with_unknown_field_exits_1(tmp_path, capsys):
+    from dataclasses import asdict
+    from eomae.synthetic import load_recipe
+    d = asdict(load_recipe("pretrain"))
+    d["num_tile"] = 4
+    typo = tmp_path / "typo.json"
+    typo.write_text(json.dumps(d))
+    assert main(["gen-data", "--recipe", str(typo), "--spec", "synthetic_pretrain",
+                 "--out", str(tmp_path / "data")]) == 1
+    err = _one_line(capsys.readouterr().err, "error: ")
+    assert "recipe: unknown field(s) ['num_tile']" in err
+
+
+@pytest.mark.parametrize("command", ["cost", "inspect"])
+def test_fusion_flags_match_override_fusion(command, capsys):
+    from eomae import specs
+    from eomae.costs import cost_for_phase
+    from eomae.router import build_routing
+    argv = [command, "--preset", "treesatai_ts", "--fusion", "shared",
+            "--multispectral", "token-based"]
+    assert main(argv + (["--format", "json"] if command == "cost" else [])) == 0
+    ds, fu, di = specs.load_preset("treesatai_ts")
+    fu = specs.override_fusion(fu, mode="shared", multispectral="token-based")
+    if command == "cost":
+        expected = cost_for_phase(ds, fu, di, "pretrain").to_dict()
+    else:
+        expected = build_routing(ds, fu, di).to_dict()
+    assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(expected))
 
 
 def test_gen_data_then_pretrain_exit_zero(tmp_path, capsys):

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import json
 import math
+import re
+from dataclasses import asdict
 
 import pytest
 
@@ -8,6 +11,7 @@ from eomae import specs
 from eomae.specs import (DatasetSpec, FusionConfig, ModalitySpec, ModelDims,
                          lcm_token_grid, load_preset, sequence_length,
                          token_counts, validate)
+from eomae.synthetic import SyntheticRecipe, load_recipe
 
 
 def _modality(**kw) -> ModalitySpec:
@@ -132,11 +136,88 @@ class TestRepetitionFactor:
         assert ds.repetition_factor == 1
 
 
-def test_config_roundtrip(treesat):
-    ds, fu, di = treesat
+@pytest.mark.parametrize("name", specs.preset_names())
+def test_config_roundtrip(name):
+    ds, fu, di = load_preset(name)
     d = specs.config_to_dict(ds, fu, di)
-    ds2, fu2, di2 = specs.config_from_dict(d)
+    ds2, fu2, di2 = specs.config_from_dict(json.loads(json.dumps(d)))
     assert ds2 == ds and fu2 == fu and di2 == di
+
+
+@pytest.mark.parametrize("name", ["pretrain", "temporal", "bands"])
+def test_recipe_roundtrip(name):
+    recipe = load_recipe(name)
+    d = json.loads(json.dumps(asdict(recipe)))
+    assert specs.from_dict(SyntheticRecipe, d, "recipe") == recipe
+
+
+def _preset_dict() -> dict:
+    ds, fu, di = load_preset("synthetic_pretrain")
+    return json.loads(json.dumps(specs.config_to_dict(ds, fu, di)))
+
+
+@pytest.mark.parametrize("at, message", [
+    (lambda d: d["dataset"], "dataset: unknown field(s) ['typo']"),
+    (lambda d: d["dataset"]["modalities"][1], "dataset.modalities[1]: unknown field(s) ['typo']"),
+    (lambda d: d["dataset"]["modalities"][0]["cloud_mask"],
+     "dataset.modalities[0].cloud_mask: unknown field(s) ['typo']"),
+    (lambda d: d["fusion"], "fusion: unknown field(s) ['typo']"),
+    (lambda d: d["fusion"]["structured_probs"],
+     "fusion.structured_probs: unknown field(s) ['typo']"),
+    (lambda d: d["dims"], "dims: unknown field(s) ['typo']"),
+    (lambda d: d, "top level: unknown field(s) ['typo']"),
+], ids=["dataset", "modality", "cloud_mask", "fusion", "structured_probs", "dims", "top"])
+def test_unknown_key_names_its_path(at, message):
+    d = _preset_dict()
+    at(d)["typo"] = 1
+    with pytest.raises(ValueError) as e:
+        specs.config_from_dict(d)
+    assert str(e.value) == message
+
+
+def test_unknown_recipe_key_names_its_path():
+    d = asdict(load_recipe("pretrain"))
+    d["seeed"] = 3
+    with pytest.raises(ValueError, match=re.escape("recipe: unknown field(s) ['seeed']")):
+        specs.from_dict(SyntheticRecipe, d, "recipe")
+
+
+def test_missing_required_field_names_its_path():
+    d = _preset_dict()
+    del d["dataset"]["modalities"][0]["patch_size"]
+    with pytest.raises(ValueError, match=re.escape(
+            "dataset.modalities[0]: missing required field 'patch_size'")):
+        specs.config_from_dict(d)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: [d], "top level: expected an object, got list"),
+    (lambda d: {**d, "fusion": "group"}, "fusion: expected an object, got str"),
+    (lambda d: {**d, "dataset": {**d["dataset"], "modalities": {}}},
+     "dataset.modalities: expected a list, got dict"),
+], ids=["top", "fusion", "modalities"])
+def test_non_object_names_its_path(mutate, message):
+    with pytest.raises(ValueError) as e:
+        specs.config_from_dict(mutate(_preset_dict()))
+    assert str(e.value) == message
+
+
+def test_missing_optional_fields_take_defaults():
+    d = _preset_dict()
+    del d["fusion"], d["dims"], d["dataset"]["modalities"][0]["cloud_mask"]
+    ds, fu, di = specs.config_from_dict(d)
+    assert fu == FusionConfig() and di == ModelDims()
+    assert ds.modalities[0].cloud_mask == specs.CloudMaskSpec()
+
+
+def test_override_fusion_replaces_only_given_fields():
+    base = FusionConfig(mode="group", multispectral="joint-token",
+                        target_norm="patch", mask_ratio=0.5)
+    out = specs.override_fusion(base, mode="shared", mask_ratio=0.6)
+    assert out == FusionConfig(mode="shared", multispectral="joint-token",
+                               target_norm="patch", mask_ratio=0.6)
+    assert base.mode == "group" and base.mask_ratio == 0.5
+    assert specs.override_fusion(base) == base
 
 
 def test_single_source_of_truth_token_totals():

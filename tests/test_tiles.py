@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import json
+import re
+
 import numpy as np
 import pytest
 
-from eomae.tiles import (TileMagicError, TileShapeError, TileTruncatedError,
+from eomae.cli import main
+from eomae.tiles import (TileError, TileMagicError, TileShapeError, TileTruncatedError,
                          load_manifest, read_tensor, read_tile, write_tensor)
 
 
@@ -86,3 +90,22 @@ class TestManifestAndReadTile:
         recipe = load_recipe("pretrain")
         recipe.num_tiles = 16
         generate(recipe, tiny_dataset.dataset, tiny_dataset.root)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda text: text[: len(text) // 2], r"line \d+ column \d+"),
+    (lambda text: text.replace('"split"', '"splt"', 1),
+     re.escape("tiles[0]: unknown field(s) ['splt']")),
+    (lambda text: json.dumps({"dataset": json.loads(text)["dataset"]}),
+     re.escape("missing required field 'tiles'")),
+], ids=["truncated", "unknown_tile_field", "no_tiles"])
+def test_malformed_manifest_is_tile_error(tiny_dataset, tmp_path, capsys, corrupt, message):
+    text = (tiny_dataset.root / "manifest.json").read_text(encoding="utf-8")
+    (tmp_path / "manifest.json").write_text(corrupt(text), encoding="utf-8")
+    with pytest.raises(TileError, match=message) as e:
+        load_manifest(tmp_path)
+    assert str(tmp_path / "manifest.json") in str(e.value)
+    code = main(["probe", "--preset", "synthetic_pretrain", "--data", str(tmp_path),
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("i/o error: ") and err.count("\n") == 1
