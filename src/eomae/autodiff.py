@@ -9,6 +9,14 @@ gradient, so activations are freed during the pass and no reference cycle
 outlives it. Leaf tensors keep their ``.grad``. To differentiate again,
 build a new graph.
 
+Every op computes in its inputs' dtype: float32 tensors give float32 nodes
+and gradients, float64 ones float64. A constant 0-d operand of ``+ - * /``
+enters as a Python float, which NumPy treats as weak, so a float64 scalar
+such as ``1/np.sqrt(d)`` cannot promote a float32 tensor. A closure that
+builds a fresh gradient array hands it to its input as that input's first
+gradient; one that passes ``out.grad`` or a view of it has it copied,
+because one buffer may reach two inputs (``x + x``, a residual ``x + f(x)``).
+
 Matrix-multiply work is tracked in a module-level MAC counter so tests can
 compare an instrumented forward pass against analytic cost formulas.
 """
@@ -66,7 +74,11 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64) if not isinstance(data, np.ndarray) else data
+        if not isinstance(data, np.ndarray):
+            # a numpy floating scalar (e.g. a float32 ``.sum()``) keeps its dtype
+            data = np.asarray(data, dtype=data.dtype if isinstance(data, np.floating)
+                              else np.float64)
+        self.data = data
         self.grad = None
         self.requires_grad = requires_grad and _GRAD_ENABLED
         self._backward = None
@@ -83,10 +95,14 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add ``g`` to the gradient. An ``owned`` g is a fresh array no other
+        node holds: as the first gradient it is taken over, not copied."""
         if self.grad is None:
-            # copy: g may alias another node's gradient buffer
-            self.grad = np.array(g, dtype=self.data.dtype)
+            if owned and isinstance(g, np.ndarray) and g.dtype == self.data.dtype:
+                self.grad = g
+            else:
+                self.grad = np.array(g, dtype=self.data.dtype)
         else:
             self.grad += g
 
@@ -137,13 +153,17 @@ class Tensor:
 
     def __add__(self, other):
         other = as_tensor(other)
-        out_data = self.data + other.data
+        a, b = _operand(self), _operand(other)
+        out_data = a + b
 
         def bwd():
+            g = out.grad
             if self.requires_grad:
-                self._accumulate(_unbroadcast(out.grad, self.data.shape))
+                ga = _unbroadcast(g, self.data.shape)
+                self._accumulate(ga, owned=ga is not g)
             if other.requires_grad:
-                other._accumulate(_unbroadcast(out.grad, other.data.shape))
+                gb = _unbroadcast(g, other.data.shape)
+                other._accumulate(gb, owned=gb is not g)
 
         out = Tensor._make(out_data, (self, other), bwd)
         return out
@@ -152,13 +172,14 @@ class Tensor:
 
     def __mul__(self, other):
         other = as_tensor(other)
-        out_data = self.data * other.data
+        a, b = _operand(self), _operand(other)
+        out_data = a * b
 
         def bwd():
             if self.requires_grad:
-                self._accumulate(_unbroadcast(out.grad * other.data, self.data.shape))
+                self._accumulate(_unbroadcast(out.grad * b, self.data.shape), owned=True)
             if other.requires_grad:
-                other._accumulate(_unbroadcast(out.grad * self.data, other.data.shape))
+                other._accumulate(_unbroadcast(out.grad * a, other.data.shape), owned=True)
 
         out = Tensor._make(out_data, (self, other), bwd)
         return out
@@ -170,20 +191,23 @@ class Tensor:
 
         def bwd():
             if self.requires_grad:
-                self._accumulate(-out.grad)
+                self._accumulate(-out.grad, owned=True)
 
         out = Tensor._make(out_data, (self,), bwd)
         return out
 
     def __sub__(self, other):
         other = as_tensor(other)
-        out_data = self.data - other.data
+        a, b = _operand(self), _operand(other)
+        out_data = a - b
 
         def bwd():
+            g = out.grad
             if self.requires_grad:
-                self._accumulate(_unbroadcast(out.grad, self.data.shape))
+                ga = _unbroadcast(g, self.data.shape)
+                self._accumulate(ga, owned=ga is not g)
             if other.requires_grad:
-                other._accumulate(_unbroadcast(-out.grad, other.data.shape))
+                other._accumulate(_unbroadcast(-g, other.data.shape), owned=True)
 
         out = Tensor._make(out_data, (self, other), bwd)
         return out
@@ -193,15 +217,15 @@ class Tensor:
 
     def __truediv__(self, other):
         other = as_tensor(other)
-        out_data = self.data / other.data
+        a, b = _operand(self), _operand(other)
+        out_data = a / b
 
         def bwd():
             if self.requires_grad:
-                self._accumulate(_unbroadcast(out.grad / other.data, self.data.shape))
+                self._accumulate(_unbroadcast(out.grad / b, self.data.shape), owned=True)
             if other.requires_grad:
                 other._accumulate(
-                    _unbroadcast(-out.grad * self.data / (other.data * other.data), other.data.shape)
-                )
+                    _unbroadcast(-out.grad * a / (b * b), other.data.shape), owned=True)
 
         out = Tensor._make(out_data, (self, other), bwd)
         return out
@@ -215,7 +239,7 @@ class Tensor:
 
         def bwd():
             if self.requires_grad:
-                self._accumulate(out.grad * p * self.data ** (p - 1))
+                self._accumulate(out.grad * p * self.data ** (p - 1), owned=True)
 
         out = Tensor._make(out_data, (self,), bwd)
         return out
@@ -242,9 +266,9 @@ class Tensor:
             g = out.grad
             if a.ndim == 1 and b.ndim == 1:
                 if self.requires_grad:
-                    self._accumulate(g * b)
+                    self._accumulate(g * b, owned=True)
                 if other.requires_grad:
-                    other._accumulate(g * a)
+                    other._accumulate(g * a, owned=True)
                 return
             ga = gb = None
             if a.ndim == 1:  # (n,) @ (..., n, p)
@@ -265,9 +289,9 @@ class Tensor:
                 if other.requires_grad:
                     gb = _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
             if ga is not None:
-                self._accumulate(ga)
+                self._accumulate(ga, owned=True)
             if gb is not None:
-                other._accumulate(gb)
+                other._accumulate(gb, owned=True)
 
         out = Tensor._make(out_data, (self, other), bwd)
         return out
@@ -309,7 +333,7 @@ class Tensor:
             if self.requires_grad:
                 g = np.zeros_like(self.data)
                 np.add.at(g, idx, out.grad)
-                self._accumulate(g)
+                self._accumulate(g, owned=True)
 
         out = Tensor._make(out_data, (self,), bwd)
         return out
@@ -328,7 +352,7 @@ class Tensor:
                     ax = tuple(a % len(src_shape) for a in ax)
                     shape = [1 if i in ax else n for i, n in enumerate(src_shape)]
                     g = g.reshape(shape)
-                self._accumulate(np.broadcast_to(g, src_shape).copy())
+                self._accumulate(np.broadcast_to(g, src_shape).copy(), owned=True)
 
         out = Tensor._make(out_data, (self,), bwd)
         return out
@@ -346,7 +370,7 @@ class Tensor:
 
         def bwd():
             if self.requires_grad:
-                self._accumulate(out.grad * out_data)
+                self._accumulate(out.grad * out_data, owned=True)
 
         out = Tensor._make(out_data, (self,), bwd)
         return out
@@ -356,7 +380,7 @@ class Tensor:
 
         def bwd():
             if self.requires_grad:
-                self._accumulate(out.grad * (1.0 - out_data * out_data))
+                self._accumulate(out.grad * (1.0 - out_data * out_data), owned=True)
 
         out = Tensor._make(out_data, (self,), bwd)
         return out
@@ -367,7 +391,7 @@ class Tensor:
 
         def bwd():
             if self.requires_grad:
-                self._accumulate(out.grad * sign)
+                self._accumulate(out.grad * sign, owned=True)
 
         out = Tensor._make(out_data, (self,), bwd)
         return out
@@ -377,6 +401,14 @@ def as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
     return Tensor(np.asarray(x, dtype=np.float64))
+
+
+def _operand(t: Tensor):
+    """``t``'s value as a binary-op operand: a Python float for a constant 0-d
+    tensor (weak under NEP 50, so it takes the other operand's dtype; the
+    same float64 bits as the 0-d array), else the array."""
+    d = t.data
+    return float(d) if d.ndim == 0 and not t.requires_grad else d
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -406,7 +438,7 @@ def softmax(t: Tensor, axis: int = -1) -> Tensor:
         if t.requires_grad:
             g = out.grad
             dot = (g * out_data).sum(axis=axis, keepdims=True)
-            t._accumulate(out_data * (g - dot))
+            t._accumulate(out_data * (g - dot), owned=True)
 
     out = Tensor._make(out_data, (t,), bwd)
     return out
@@ -424,14 +456,14 @@ def layer_norm(t: Tensor, gain: Tensor, offset: Tensor, eps: float = 1e-6) -> Te
     def bwd():
         g = out.grad
         if gain.requires_grad:
-            gain._accumulate((g * xhat).reshape(-1, x.shape[-1]).sum(axis=0))
+            gain._accumulate((g * xhat).reshape(-1, x.shape[-1]).sum(axis=0), owned=True)
         if offset.requires_grad:
-            offset._accumulate(g.reshape(-1, x.shape[-1]).sum(axis=0))
+            offset._accumulate(g.reshape(-1, x.shape[-1]).sum(axis=0), owned=True)
         if t.requires_grad:
             gx = g * gain.data
             m1 = gx.mean(axis=-1, keepdims=True)
             m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            t._accumulate(inv * (gx - m1 - xhat * m2))
+            t._accumulate(inv * (gx - m1 - xhat * m2), owned=True)
 
     out = Tensor._make(out_data, (t, gain, offset), bwd)
     return out
@@ -472,7 +504,7 @@ def gelu(t: Tensor) -> Tensor:
             du *= 0.5
             g += du
             g *= out.grad
-            t._accumulate(g)
+            t._accumulate(g, owned=True)
 
     out = Tensor._make(out_data, (t,), bwd)
     return out
@@ -483,7 +515,7 @@ def sigmoid(t: Tensor) -> Tensor:
 
     def bwd():
         if t.requires_grad:
-            t._accumulate(out.grad * out_data * (1.0 - out_data))
+            t._accumulate(out.grad * out_data * (1.0 - out_data), owned=True)
 
     out = Tensor._make(out_data, (t,), bwd)
     return out
@@ -499,7 +531,7 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     def bwd():
         if logits.requires_grad:
             s = 1.0 / (1.0 + np.exp(-z))
-            logits._accumulate(out.grad * (s - y) / z.size)
+            logits._accumulate(out.grad * (s - y) / z.size, owned=True)
 
     out = Tensor._make(out_data, (logits,), bwd)
     return out
@@ -532,7 +564,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, valid: np.ndarray | None =
             p /= p.sum(axis=1, keepdims=True)
             p[np.arange(n), labels] -= 1.0
             p *= (valid / n_valid)[:, None]
-            logits._accumulate(out.grad * p)
+            logits._accumulate(out.grad * p, owned=True)
 
     out = Tensor._make(out_data, (logits,), bwd)
     return out

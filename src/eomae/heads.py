@@ -73,7 +73,7 @@ def align_to_reference(tokens: Tensor, grid_side: int, ref_side: int) -> Tensor:
         return tokens
     width = tokens.shape[1]
     if grid_side > ref_side:
-        w = Tensor(overlap_weights(ref_side, grid_side))
+        w = Tensor(overlap_weights(ref_side, grid_side).astype(tokens.data.dtype, copy=False))
         x = tokens.reshape(grid_side, grid_side * width)
         y = (w @ x).reshape(ref_side, grid_side, width)        # rows averaged
         y = y.transpose(1, 0, 2).reshape(grid_side, ref_side * width)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
 from .encodings import (encoding_block, reference_date, spatial_table,
                         temporal_features)
@@ -153,7 +152,8 @@ def embed_tokens(batch: TileBatch, dataset: DatasetSpec, fusion: FusionConfig,
     for m in dataset.active_modalities():
         weights = tokenizer_weights(params, m.name)
         t = embed(batch.grids[m.name], m, fusion.multispectral, weights)
-        out[m.name] = t + Tensor(batch.token_encodings[m.name])
+        enc = batch.token_encodings[m.name].astype(t.data.dtype, copy=False)
+        out[m.name] = t + Tensor(enc)
     return out
 
 

@@ -254,13 +254,14 @@ def decode_with_masks(encoded: dict[tuple[str, int], EncodedSlab], mask_plan: Ma
                 order.append(vis)
             if len(masked) > 0:
                 mt = params[f"tok/{slab.modality}/mask_token"].reshape(1, dims.decoder_width)
-                rows.append(Tensor(np.zeros((len(masked), dims.decoder_width))) + mt)
+                zeros = np.zeros((len(masked), dims.decoder_width), dtype=mt.data.dtype)
+                rows.append(Tensor(zeros) + mt)
                 order.append(masked)
             stacked = ad.concat(rows, axis=0) if len(rows) > 1 else rows[0]
             inv = np.argsort(np.concatenate(order))
             full = stacked[inv]
             enc_rows = decoder_encodings[slab.modality][slab.start: slab.start + slab.length]
-            parts.append(full + Tensor(enc_rows))
+            parts.append(full + Tensor(enc_rows.astype(full.data.dtype, copy=False)))
         x = ad.concat(parts, axis=0) if len(parts) > 1 else parts[0]
         x = run_blocks(x, params, f"dec/{seq.param_set}", dims.decoder_depth, dims.heads)
         at = 0

@@ -3,10 +3,10 @@
 Single source of truth for token accounting. Configurations are plain data:
 presets, generator recipes and dataset manifests are JSON files that mirror
 the dataclasses field for field, and one loader (``from_dict``) reads them
-all. An unknown key, a missing required field or a non-object value is a
-``ValueError`` that names its dotted path. Shipped presets and recipes live
-in ``eomae/presets``; ``override_fusion`` applies command-line fusion
-overrides.
+all. An unknown key, a missing required field, a non-object value or a leaf
+value of the wrong type is a ``ValueError`` that names its dotted path.
+Shipped presets and recipes live in ``eomae/presets``; ``override_fusion``
+applies command-line fusion overrides.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import types
 import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
@@ -293,49 +294,79 @@ def lcm_token_grid(specs: list[ModalitySpec]) -> int:
 # -- JSON (de)serialization ----------------------------------------------------
 
 @functools.cache
-def _field_types(cls: type) -> dict[str, tuple[type | None, bool, bool]]:
-    """Field name -> (nested dataclass or None, is a list of it, required),
-    resolved once per dataclass ``cls``."""
+def _field_types(cls: type) -> dict[str, tuple[object, type | None, bool, bool]]:
+    """Field name -> (type hint, nested dataclass or None, is a list of it,
+    required), resolved once per dataclass ``cls``."""
     out = {}
     hints = typing.get_type_hints(cls)
     for f in fields(cls):
         tp = hints[f.name]
         many = typing.get_origin(tp) is list
         item = typing.get_args(tp)[0] if many else tp
-        out[f.name] = (item if is_dataclass(item) else None, many,
+        out[f.name] = (tp, item if is_dataclass(item) else None, many,
                        f.default is MISSING and f.default_factory is MISSING)
     return out
+
+
+# JSON value types a leaf hint accepts; bool is never taken for a number.
+_LEAF_TYPES = {float: (int, float), int: (int,), bool: (bool,), str: (str,)}
+
+
+def _check_leaf(v: object, tp: object, at: str) -> None:
+    """Raise ``ValueError`` naming ``at`` unless JSON value ``v`` fits hint ``tp``."""
+    accepts = _LEAF_TYPES.get(tp)
+    if accepts is not None:
+        if not isinstance(v, accepts) or (isinstance(v, bool) and tp is not bool):
+            raise ValueError(f"{at}: expected {tp.__name__}, got {type(v).__name__}")
+        return
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is list:
+        if not isinstance(v, list):
+            raise ValueError(f"{at}: expected a list, got {type(v).__name__}")
+        for i, x in enumerate(v):
+            _check_leaf(x, args[0], f"{at}[{i}]")
+    elif origin is dict:
+        if not isinstance(v, dict):
+            raise ValueError(f"{at}: expected an object, got {type(v).__name__}")
+        for k, x in v.items():
+            _check_leaf(x, args[1], f"{at}.{k}")
+    elif origin is types.UnionType and v is not None:   # X | None
+        _check_leaf(v, next(a for a in args if a is not type(None)), at)
 
 
 def from_dict(cls: type, d: object, path: str):
     """Build dataclass ``cls`` from parsed JSON ``d``, field for field.
 
     Dataclass fields, and lists of dataclasses, load recursively; a missing
-    field takes its default. A missing required field, an unknown key or a
-    non-object value raises ``ValueError`` naming the dotted ``path``.
+    field takes its default; every other value is checked against its type
+    hint (an int passes for a float, a bool for neither, ``null`` for
+    ``X | None``). A missing required field, an unknown key, a non-object
+    value or a wrong-typed value raises ``ValueError`` naming the dotted
+    ``path``.
     """
     where = path or "top level"
     if not isinstance(d, dict):
         raise ValueError(f"{where}: expected an object, got {type(d).__name__}")
-    types = _field_types(cls)
-    unknown = d.keys() - types.keys()
+    hints = _field_types(cls)
+    unknown = d.keys() - hints.keys()
     if unknown:
         raise ValueError(f"{where}: unknown field(s) {sorted(unknown)}")
     kwargs = {}
-    for name, (sub, many, required) in types.items():
+    for name, (tp, sub, many, required) in hints.items():
         if name not in d:
             if required:
                 raise ValueError(f"{where}: missing required field {name!r}")
             continue
         v = d[name]
-        if sub is not None:
-            at = f"{path}.{name}" if path else name
-            if not many:
-                v = from_dict(sub, v, at)
-            elif isinstance(v, list):
-                v = [from_dict(sub, x, f"{at}[{i}]") for i, x in enumerate(v)]
-            else:
-                raise ValueError(f"{at}: expected a list, got {type(v).__name__}")
+        at = f"{path}.{name}" if path else name
+        if sub is None:
+            _check_leaf(v, tp, at)
+        elif not many:
+            v = from_dict(sub, v, at)
+        elif isinstance(v, list):
+            v = [from_dict(sub, x, f"{at}[{i}]") for i, x in enumerate(v)]
+        else:
+            raise ValueError(f"{at}: expected a list, got {type(v).__name__}")
         kwargs[name] = v
     return cls(**kwargs)
 

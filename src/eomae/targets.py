@@ -100,7 +100,8 @@ def reconstruction_loss(items: list[ReconstructionItem], mode: str,
     for item in items:
         pos, bins, _ = item.targets.shape
         n_groups = len(item.spec.band_groups)
-        resid = (item.recon - Tensor(item.targets)).abs()
+        dtype = item.recon.data.dtype
+        resid = (item.recon - Tensor(item.targets.astype(dtype, copy=False))).abs()
         per_token = resid.sum(axis=2)   # joint: [pos, D]
         token_based = item.multispectral == "token-based"
         if token_based or mode == "patch-group":
@@ -116,7 +117,7 @@ def reconstruction_loss(items: list[ReconstructionItem], mode: str,
             m = _unit_mask(item, pos, bins, n_groups)
             if per_unit.ndim == 3 and m.ndim == 2:
                 m = np.repeat(m[:, :, None], per_unit.shape[2], axis=2)
-            selected = (per_unit * Tensor(m.astype(np.float64))).sum()
+            selected = (per_unit * Tensor(m.astype(dtype))).sum()
             masked_units = float(m.sum())
             if mode == "patch-group":
                 denom += masked_units if per_unit.ndim == 3 else masked_units * n_groups

@@ -86,15 +86,17 @@ def embed(grid: PatchGrid, spec: ModalitySpec, multispectral: str,
     pos, d, _ = grid.data.shape
     bin_major = grid.data.transpose(1, 0, 2)            # [D, pos, vec]
     if multispectral == "joint-token":
-        x = Tensor(np.ascontiguousarray(bin_major))
-        t = x @ weights["embed_w"] + weights["embed_b"]
-        return t.reshape(d * pos, weights["embed_w"].shape[1])
+        w = weights["embed_w"]
+        x = Tensor(np.ascontiguousarray(bin_major, dtype=w.data.dtype))
+        t = x @ w + weights["embed_b"]
+        return t.reshape(d * pos, w.shape[1])
     cols = group_column_indices(spec.patch_size, spec.channels, spec.band_groups)
     parts = []
     ce = weights["embed_w0"].shape[1]
     for gi, idx in enumerate(cols):
-        x = Tensor(np.ascontiguousarray(bin_major[:, :, idx]))
-        t = x @ weights[f"embed_w{gi}"] + weights[f"embed_b{gi}"]
+        w = weights[f"embed_w{gi}"]
+        x = Tensor(np.ascontiguousarray(bin_major[:, :, idx], dtype=w.data.dtype))
+        t = x @ w + weights[f"embed_b{gi}"]
         parts.append(t.reshape(d, 1, pos, ce))
     stacked = ad.concat(parts, axis=1)                  # [D, G, pos, Ce]
     return stacked.reshape(d * len(cols) * pos, ce)

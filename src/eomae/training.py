@@ -7,6 +7,12 @@ warmup over 20% of the steps, then follows a single cosine cycle down to
 keeps an exponential moving average of the weights, updated once per epoch
 with ``alpha = 1 - 1/(0.2 * epochs)``, and evaluates with the EMA weights.
 Probing freezes every backbone parameter and trains the head alone.
+
+``run_phase`` trains and evaluates in float32: it casts its parameters once,
+after building them, and the autodiff ops, the optimizer moments and the EMA
+follow their dtype. Checkpoints are float32 on disk, so a checkpoint loads
+into a run exactly. A non-finite training loss stops the run before its
+backward pass with a ``ValueError`` naming the phase, epoch, step and tile.
 """
 
 from __future__ import annotations
@@ -74,8 +80,8 @@ class AdamWConfig:
     weight_decay: float = 1e-2
 
 
-# Elements per in-place update slice: two float64 scratch buffers of this
-# size stay in cache.
+# Elements per in-place update slice: two scratch buffers of this size stay
+# in cache.
 _CHUNK = 1 << 14
 
 
@@ -91,7 +97,9 @@ class AdamW:
 
     As in ``torch.optim.AdamW``, a tensor whose ``grad`` is None is skipped:
     no weight decay and no moment update. Its moments are allocated on its
-    first gradient, and its bias correction counts its own updates.
+    first gradient, and its bias correction counts its own updates. Moments
+    and scratch buffers take the tensor's dtype, so a float32 tensor is
+    updated in float32 arithmetic.
     """
 
     def __init__(self, params: dict[str, Tensor], config: AdamWConfig | None = None):
@@ -101,7 +109,7 @@ class AdamW:
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.updates: dict[str, int] = {}
-        self._scratch = np.empty((2, _CHUNK))
+        self._scratch: dict[np.dtype, np.ndarray] = {}
 
     def step(self, lr: float | None = None) -> None:
         cfg = self.config
@@ -121,17 +129,20 @@ class AdamW:
             m = _flat_view(self.m[k], k)
             v = _flat_view(self.v[k], k)
             g = p.grad.reshape(-1)
+            scratch = self._scratch.get(w.dtype)
+            if scratch is None:
+                scratch = self._scratch[w.dtype] = np.empty((2, _CHUNK), w.dtype)
             for lo in range(0, w.size, _CHUNK):
                 at = slice(lo, lo + _CHUNK)
-                self._update(w[at], g[at], m[at], v[at], lr, decay, b1c, b2c)
+                self._update(w[at], g[at], m[at], v[at], scratch, lr, decay, b1c, b2c)
 
-    def _update(self, w, g, m, v, lr, decay, b1c, b2c) -> None:
+    def _update(self, w, g, m, v, scratch, lr, decay, b1c, b2c) -> None:
         """One slice of the update, in place and in the operation order of
         m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;  w *= decay;
         w -= lr * (m/b1c) / (sqrt(v/b2c) + eps)."""
         cfg = self.config
-        s = self._scratch[0, : w.size]
-        t = self._scratch[1, : w.size]
+        s = scratch[0, : w.size]
+        t = scratch[1, : w.size]
         m *= cfg.beta1
         np.multiply(1 - cfg.beta1, g, out=s)
         m += s
@@ -260,14 +271,15 @@ class RunResult:
 
 
 def _load_into(params: dict[str, Tensor], path: str) -> int:
-    """Assign checkpoint arrays into matching parameter names; returns count."""
+    """Assign checkpoint arrays, in each tensor's dtype, into matching
+    parameter names; returns count."""
     stored = load_checkpoint(path)
     matched = 0
     for name, arr in stored.items():
         if name in params:
             if params[name].data.shape != arr.shape:
                 raise ValueError(f"checkpoint {path}: shape mismatch for {name}")
-            params[name].data = arr
+            params[name].data = arr.astype(params[name].data.dtype, copy=False)
             matched += 1
     if matched == 0:
         raise ValueError(f"checkpoint {path}: no compatible parameters")
@@ -340,6 +352,8 @@ def run_phase(cfg: RunConfig) -> RunResult:
     params = build_parameters(dataset, fusion, dims, cfg.seed)
     if cfg.phase in ("probe", "finetune"):
         params.update(build_head_params(dataset.num_classes, dims.encoder_width, cfg.seed))
+    for p in params.values():
+        p.data = p.data.astype(np.float32)
     if cfg.init_checkpoint:
         _load_into(params, cfg.init_checkpoint)
 
@@ -408,9 +422,12 @@ def run_phase(cfg: RunConfig) -> RunResult:
                             labels = batch.label_grid.reshape(-1)
                             valid = ~np.isin(labels, dataset.ignored_class_ids)
                             loss = ad.cross_entropy(logits, labels, valid)
-                    scaled = loss * (1.0 / len(chunk))
-                    scaled.backward()
-                    batch_losses.append(float(loss.data))
+                    value = float(loss.data)
+                    if not math.isfinite(value):
+                        raise ValueError(f"{cfg.phase}: loss is {value} at epoch {epoch}, "
+                                         f"step {step}, tile {tid}")
+                    batch_losses.append(value)
+                    (loss * (1.0 / len(chunk))).backward()
                 lr = one_cycle_lr(step, total_steps, peak, final_div=final_div)
                 optimizer.step(lr)
                 step += 1

@@ -23,7 +23,7 @@ from eomae.router import (build_parameters, build_routing, encode_visible,
 from eomae.specs import StructuredProbs, sequence_length
 from eomae.synthetic import generate, load_recipe
 from eomae.targets import normalize_targets
-from eomae.temporal import d4_inverse, d4_transform, stream_rng
+from eomae.temporal import d4_inverse, d4_transform
 from eomae.tokenizer import PatchGrid, patchify, unpatchify
 from eomae.training import (RunConfig, backbone_checksum, ema_alpha,
                             one_cycle_lr, run_phase)

@@ -204,3 +204,93 @@ class TestGradCheck:
 
         report = grad_check(bad_loss, {"x": x}, tol=1e-4)
         assert not report["passed"]
+
+
+def _leaf32(arr):
+    t = Tensor(np.asarray(arr, dtype=np.float32))
+    t.requires_grad = True
+    return t
+
+
+class TestDtype:
+    def test_numpy_float_scalar_keeps_its_dtype(self):
+        assert Tensor(np.float32(1.5)).data.dtype == np.float32
+        assert Tensor(np.float64(1.5)).data.dtype == np.float64
+        assert Tensor(1.5).data.dtype == np.float64
+        assert Tensor(np.arange(3, dtype=np.float32).sum()).data.dtype == np.float32
+
+    @pytest.mark.parametrize("op", [
+        lambda x: x * (1.0 / np.sqrt(4)),
+        lambda x: x * np.asarray(0.5),
+        lambda x: x + np.float64(2.0),
+        lambda x: x - np.float64(1.0),
+        lambda x: x / np.float64(3.0),
+        lambda x: 1.0 - x,
+        lambda x: 2.0 / x,
+        lambda x: x * Tensor(np.asarray(0.25)),
+        lambda x: x.sum() * (1.0 / 3),
+        lambda x: x.mean(),
+    ], ids=["mul_np_scalar", "mul_0d", "add", "sub", "div", "rsub", "rdiv",
+            "mul_0d_tensor", "sum_times_float", "mean"])
+    def test_constant_scalar_does_not_promote_float32(self, op):
+        x = _leaf32([1.0, 2.0, 4.0])
+        y = op(x)
+        assert y.data.dtype == np.float32
+        y.sum().backward()
+        assert x.grad.dtype == np.float32
+
+    def test_float64_constant_gives_the_same_bits(self, rng):
+        x = rng.normal(size=9)
+        c = 1.0 / np.sqrt(np.float64(7))
+        assert np.array_equal((Tensor(x) * c).data, x * np.asarray(c))
+        assert np.array_equal((Tensor(x) / Tensor(np.asarray(c))).data, x / np.asarray(c))
+        assert np.array_equal((1.0 - Tensor(x)).data, np.asarray(1.0) - x)
+
+    def test_fresh_gradient_taken_over_view_copied(self):
+        g = np.ones(3)
+        owner = _leaf(np.zeros(3))
+        owner._accumulate(g, owned=True)
+        assert owner.grad is g
+        borrower = _leaf(np.zeros(3))
+        borrower._accumulate(g)
+        assert not np.shares_memory(borrower.grad, g)
+        narrow = _leaf32(np.zeros(3))
+        narrow._accumulate(g, owned=True)
+        assert narrow.grad.dtype == np.float32 and not np.shares_memory(narrow.grad, g)
+
+    def test_leaf_gradient_owns_its_buffer(self):
+        # mul hands its fresh product over instead of a copy of it
+        x = _leaf32(np.arange(6.0).reshape(2, 3))
+        (x * 3.0).sum().backward()
+        assert x.grad.dtype == np.float32 and x.grad.base is None
+
+
+class TestSharedGradientBuffers:
+    """One ``out.grad`` can reach two inputs; each must get its own copy."""
+
+    def test_x_plus_x(self, rng):
+        x = _leaf(rng.normal(size=(3, 4)))
+        w = rng.normal(size=(3, 4))
+        report = grad_check(lambda: ((x + x).tanh() * Tensor(w)).sum(), {"x": x}, tol=1e-6)
+        assert report["passed"], report
+
+    def test_residual(self, rng):
+        x = _leaf(rng.normal(size=(4, 5)))
+        w = _leaf(rng.normal(size=(5, 5)))
+        c = rng.normal(size=(4, 5))
+
+        def f():
+            a = x * 2.0                   # interior node on both branches
+            b = a + (a @ w).tanh()        # residual a + f(a)
+            h = a + b                     # a also reaches h through b
+            return (h.tanh() * Tensor(c)).sum()
+
+        report = grad_check(f, {"x": x, "w": w}, tol=1e-6)
+        assert report["passed"], report
+
+    def test_concat_of_one_tensor_twice(self, rng):
+        a = _leaf(rng.normal(size=(2, 3)))
+        c = rng.normal(size=(4, 3))
+        report = grad_check(lambda: (ad.concat([a, a], axis=0).tanh() * Tensor(c)).sum(),
+                            {"a": a}, tol=1e-6)
+        assert report["passed"], report

@@ -148,7 +148,7 @@ class TestCheckpoint:
 def test_grad_check_full_pretrain_toy():
     """Finite differences over every parameter family of a tiny pretrain loss."""
     from eomae import specs
-    from eomae.masking import layout_from, sample_mask_plan
+    from eomae.masking import sample_mask_plan
     from eomae.pipeline import TileCache, assemble_tile, build_tables, pretrain_loss
     from eomae.router import build_parameters, build_routing
     from eomae.synthetic import generate, load_recipe

@@ -65,6 +65,16 @@ def test_gen_data_recipe_with_unknown_field_exits_1(tmp_path, capsys):
     assert "recipe: unknown field(s) ['num_tile']" in err
 
 
+def test_cost_preset_with_wrong_typed_leaf_exits_1(tmp_path, capsys):
+    d = json.loads((resources.files("eomae") / "presets" / "treesatai_ts.json").read_text())
+    d["fusion"]["mask_ratio"] = "0.5"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    assert main(["cost", "--preset", str(bad)]) == 1
+    err = _one_line(capsys.readouterr().err, "error: ")
+    assert "fusion.mask_ratio: expected float, got str" in err
+
+
 @pytest.mark.parametrize("command", ["cost", "inspect"])
 def test_fusion_flags_match_override_fusion(command, capsys):
     from eomae import specs

@@ -3,9 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from eomae.masking import (MaskPlan, adjust_to_ratio, empirical_axis_stats,
-                           layout_from, nint_half_up, sample_mask_plan,
-                           structured_mask)
+from eomae.masking import (adjust_to_ratio, empirical_axis_stats, layout_from,
+                           nint_half_up, sample_mask_plan, structured_mask)
 from eomae.specs import FusionConfig, StructuredProbs
 from stats_helpers import chi2_critical, chi2_statistic
 

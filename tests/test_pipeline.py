@@ -127,8 +127,6 @@ class TestTaskForward:
         assert logits.shape == (ds.num_classes,)
 
     def test_segmentation_logits_shape(self, setup, tmp_path):
-        import json
-        from dataclasses import asdict
         from eomae.synthetic import generate, load_recipe
         ds, fu, di = specs.load_preset("synthetic_pretrain")
         ds.task = "segmentation"

@@ -202,6 +202,46 @@ def test_non_object_names_its_path(mutate, message):
     assert str(e.value) == message
 
 
+@pytest.mark.parametrize("at, key, value, message", [
+    (lambda d: d["fusion"], "mask_ratio", "0.5", "fusion.mask_ratio: expected float, got str"),
+    (lambda d: d["fusion"], "mask_ratio", True, "fusion.mask_ratio: expected float, got bool"),
+    (lambda d: d["dims"], "heads", 4.0, "dims.heads: expected int, got float"),
+    (lambda d: d["dims"], "encoder_width", False, "dims.encoder_width: expected int, got bool"),
+    (lambda d: d["dataset"]["modalities"][0], "band_groups", [[0, "1"]],
+     "dataset.modalities[0].band_groups[0][1]: expected int, got str"),
+    (lambda d: d["dataset"]["modalities"][0], "band_groups", [0, 1],
+     "dataset.modalities[0].band_groups[0]: expected a list, got int"),
+    (lambda d: d["dataset"], "reference_grid_resolution_m", "10",
+     "dataset.reference_grid_resolution_m: expected float, got str"),
+    (lambda d: d["dataset"], "modality_groups", {"a": ["x"]},
+     "dataset.modality_groups: expected a list, got dict"),
+], ids=["fusion_str", "fusion_bool", "dims_float", "dims_bool", "band_groups_item",
+        "band_groups_flat", "optional_str", "groups_dict"])
+def test_wrong_typed_leaf_names_its_path(at, key, value, message):
+    d = _preset_dict()
+    at(d)[key] = value
+    with pytest.raises(ValueError) as e:
+        specs.config_from_dict(d)
+    assert str(e.value) == message
+
+
+def test_int_for_float_and_null_for_optional_load():
+    d = _preset_dict()
+    d["dataset"]["modalities"][0]["gsd_m"] = int(d["dataset"]["modalities"][0]["gsd_m"])
+    d["dataset"]["reference_grid_resolution_m"] = None
+    ds, _, _ = specs.config_from_dict(d)
+    assert ds.modalities[0].gsd_m == d["dataset"]["modalities"][0]["gsd_m"]
+    assert ds.reference_grid_resolution_m is None
+
+
+def test_wrong_typed_recipe_leaf_names_its_path():
+    d = asdict(load_recipe("pretrain"))
+    d["signatures"] = {"hires": [[0.1, "0.2"]]}
+    with pytest.raises(ValueError, match=re.escape(
+            "recipe.signatures.hires[0][1]: expected float, got str")):
+        specs.from_dict(SyntheticRecipe, d, "recipe")
+
+
 def test_missing_optional_fields_take_defaults():
     d = _preset_dict()
     del d["fusion"], d["dims"], d["dataset"]["modalities"][0]["cloud_mask"]

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from eomae.autodiff import Tensor
 from eomae.specs import ModalitySpec

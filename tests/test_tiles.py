@@ -92,13 +92,21 @@ class TestManifestAndReadTile:
         generate(recipe, tiny_dataset.dataset, tiny_dataset.root)
 
 
+def _first_tile_id_as_string(text: str) -> str:
+    d = json.loads(text)
+    d["tiles"][0]["tile_id"] = str(d["tiles"][0]["tile_id"])
+    return json.dumps(d)
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda text: text[: len(text) // 2], r"line \d+ column \d+"),
     (lambda text: text.replace('"split"', '"splt"', 1),
      re.escape("tiles[0]: unknown field(s) ['splt']")),
     (lambda text: json.dumps({"dataset": json.loads(text)["dataset"]}),
      re.escape("missing required field 'tiles'")),
-], ids=["truncated", "unknown_tile_field", "no_tiles"])
+    (lambda text: _first_tile_id_as_string(text),
+     re.escape("tiles[0].tile_id: expected int, got str")),
+], ids=["truncated", "unknown_tile_field", "no_tiles", "wrong_typed_tile_field"])
 def test_malformed_manifest_is_tile_error(tiny_dataset, tmp_path, capsys, corrupt, message):
     text = (tiny_dataset.root / "manifest.json").read_text(encoding="utf-8")
     (tmp_path / "manifest.json").write_text(corrupt(text), encoding="utf-8")

@@ -110,6 +110,21 @@ class TestAdamW:
             opt.step(lr)
         assert np.array_equal(p.data, _adamw_reference(start, grads, lrs, cfg))
 
+    def test_float32_tensor_updates_in_float32(self, rng):
+        # float32 moments and scratch: bit-equal to the closed form in float32
+        cfg = AdamWConfig(lr=0.1, weight_decay=0.05)
+        size = _CHUNK + 3
+        start = rng.normal(size=size).astype(np.float32)
+        grads = [rng.normal(size=size).astype(np.float32) for _ in range(3)]
+        lrs = [0.1, 0.03, 0.2]
+        p = Tensor(start.copy(), requires_grad=True)
+        opt = AdamW({"p": p}, cfg)
+        for g, lr in zip(grads, lrs):
+            p.grad = g
+            opt.step(lr)
+        assert p.data.dtype == np.float32 and opt.m["p"].dtype == np.float32
+        assert np.array_equal(p.data, _adamw_reference(start, grads, lrs, cfg))
+
     def test_tensor_without_grad_is_skipped(self):
         cfg = AdamWConfig(lr=0.1, weight_decay=0.5)
         a = _leaf(np.array([1.0, 2.0]))
@@ -293,6 +308,26 @@ class TestRunPhase:
         ck_b = (run_root / "repro_b" / "checkpoint.mstr").read_bytes()
         assert ck_a == ck_b
 
+    def test_trains_in_float32_and_loads_checkpoints_exactly(self, tiny_dataset, run_root):
+        from eomae.backbone import load_checkpoint
+        pre = run_phase(RunConfig(
+            preset="synthetic_pretrain", data_dir=str(tiny_dataset.root),
+            phase="pretrain", out_dir=str(run_root / "pre32"), epochs=1,
+            batch_size=8, base_lr=1e-3, seed=3))
+        assert all(p.data.dtype == np.float32 for p in pre.params.values())
+        stored = load_checkpoint(run_root / "pre32" / "checkpoint.mstr")
+        assert all(v.dtype == np.float64 for v in stored.values())
+        ft = run_phase(RunConfig(
+            preset="synthetic_pretrain", data_dir=str(tiny_dataset.root),
+            phase="finetune", out_dir=str(run_root / "ft32"), epochs=1,
+            batch_size=8, base_lr=1e-3, seed=3,
+            init_checkpoint=str(run_root / "pre32" / "checkpoint.mstr")))
+        assert all(p.data.dtype == np.float32 for p in ft.params.values())
+        # a checkpoint round-trips float32 values exactly
+        assert all(np.array_equal(stored[k], pre.params[k].data) for k in stored)
+        ema = load_checkpoint(run_root / "ft32" / "checkpoint_ema.mstr")
+        assert ema.keys() == ft.params.keys()
+
     def test_missing_checkpoint_errors(self, tiny_dataset, run_root):
         cfg = RunConfig(preset="synthetic_pretrain", data_dir=str(tiny_dataset.root),
                         phase="probe", out_dir=str(run_root / "bad"), epochs=1,
@@ -309,3 +344,29 @@ class TestRunPhase:
                         batch_size=4, init_checkpoint=str(alien))
         with pytest.raises(ValueError, match="no compatible"):
             run_phase(cfg)
+
+
+def test_non_finite_loss_stops_the_run(tmp_path, capsys):
+    from eomae import specs
+    from eomae.cli import main
+    from eomae.synthetic import generate, load_recipe
+    from eomae.tiles import read_tensor, write_tensor
+    recipe = load_recipe("pretrain")
+    recipe.num_tiles = 4
+    dataset, _, _ = specs.load_preset("synthetic_pretrain")
+    manifest = generate(recipe, dataset, tmp_path / "data")
+    tid = manifest.split_ids("train")[1]
+    path = manifest.root / manifest.tile(tid).files["hires"]["data"]
+    write_tensor(path, np.full_like(read_tensor(path), np.nan))
+    cfg = RunConfig(preset="synthetic_pretrain", data_dir=str(manifest.root),
+                    phase="pretrain", out_dir=str(tmp_path / "run"), epochs=1,
+                    batch_size=8, base_lr=1e-3, seed=0)
+    with pytest.raises(ValueError, match=rf"^pretrain: loss is nan at epoch 0, step 0, tile {tid}$"):
+        run_phase(cfg)
+    assert not (tmp_path / "run" / "checkpoint.mstr").exists()
+    code = main(["pretrain", "--preset", "synthetic_pretrain", "--data", str(manifest.root),
+                 "--out", str(tmp_path / "cli"), "--batch", "2"])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: pretrain: loss is nan at epoch 0, step ")
+    assert err.count("\n") == 1 and f"tile {tid}" in err
+    assert not (tmp_path / "cli" / "checkpoint.mstr").exists()
